@@ -12,8 +12,8 @@ Three layers (see docs/robustness.md, "Model checking"):
    (pending-tolerant) and at end of run (strict, via
    :meth:`repro.machine.Machine.assert_quiesced`).
 3. :mod:`repro.check.workload` sweeps seeds x machine shapes x protocols
-   x fault plans x fusion modes, and :mod:`repro.check.shrink` reduces
-   any failure to a minimal replayable JSON reproducer.
+   x fault plans, and :mod:`repro.check.shrink` reduces any failure to a
+   minimal replayable JSON reproducer.
 
 Everything here is strictly observational: with no oracle attached the
 simulation is byte-identical to an unchecked run (the golden matrix

@@ -10,8 +10,7 @@ tokens along the same paths the protocol claims data moves:
 * ``copy[(node, line)]`` — the version a processor cache holds,
 * ``msgval[uid]`` — the version carried by an in-flight data reply,
 
-stamped from the protocol engine's returned :class:`Action` lists (the
-semantic layer both the fused and stepwise execution paths share) and
+stamped from the protocol engine's returned :class:`Action` lists and
 consumed by the processor-interface hooks the CPU exposes.
 
 On top of the propagation the oracle asserts, at every retiring access:
@@ -190,15 +189,22 @@ class CoherenceOracle:
         self.last_fill[key] = version
         if shared:
             # A shared fill while someone holds the line modified means the
-            # home replied around a dirty owner (stale data).
-            for other in self.machine.nodes:
-                if other.node_id == node:
-                    continue
-                if other.cpu.cache.state_of(line) == CacheState.DIRTY:
-                    self._fail(
-                        f"stale shared fill: node {node} received a PUT for "
-                        f"a line node {other.node_id} holds modified", line,
-                        extra={"reader": node, "owner": other.node_id})
+            # home replied around a dirty owner (stale data) -- unless the
+            # home already invalidated this miss for a later write.  That
+            # INVAL overtook the PUT: the read is ordered before the write,
+            # consumes the data once and drops the line, so the new owner
+            # may legally hold it modified by now.  The reply itself was
+            # checked when the home made it (``_get_home_clean``).
+            if not entry.invalidate_on_fill:
+                for other in self.machine.nodes:
+                    if other.node_id == node:
+                        continue
+                    if other.cpu.cache.state_of(line) == CacheState.DIRTY:
+                        self._fail(
+                            f"stale shared fill: node {node} received a PUT "
+                            f"for a line node {other.node_id} holds modified",
+                            line, extra={"reader": node,
+                                         "owner": other.node_id})
             if entry.invalidate_on_fill:
                 self.copy.pop(key, None)
             else:
@@ -280,7 +286,17 @@ class CoherenceOracle:
             self.msgval[message.uid] = version
 
     def _get_home_clean(self, engine, action: Action) -> None:
+        # Replying from memory is only legal while no other node owns the
+        # line dirty: that owner's copy is newer than memory's.
         line = action.message.line_addr
+        requester = action.message.requester
+        entry = engine.directory.entry(line)
+        if entry.dirty and entry.owner != requester:
+            self._fail(
+                f"stale shared reply: home node {engine.node_id} replied "
+                f"to node {requester} from memory while node {entry.owner} "
+                f"owns the line dirty", line,
+                extra={"reader": requester, "owner": entry.owner})
         self._stamp(self._reply_of(engine, action, line),
                     self.mem.get(line, 0))
 

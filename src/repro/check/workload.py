@@ -1,8 +1,8 @@
 """Check specs and the single-run checker driver.
 
 A :class:`CheckSpec` is one fully-determined checked run: the machine
-shape, protocol variant, backend, fusion mode, fault plan, seed and
-traffic volume.  :func:`run_check` builds the machine, attaches the
+shape, protocol variant, backend, fault plan, seed and traffic volume.
+:func:`run_check` builds the machine, attaches the
 :class:`~repro.check.oracle.CoherenceOracle`, runs the seeded
 :class:`~repro.apps.randmem.RandMemWorkload`, performs the strict
 end-of-run invariant walk, and returns a :class:`CheckReport` — never
@@ -15,7 +15,6 @@ is what makes shrunk failure reproducers replayable JSON artifacts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Optional
 
@@ -47,7 +46,6 @@ class CheckSpec:
     kind: str = "flash"         # "flash" | "ideal"
     protocol: str = "base"      # "base" | "migratory" | "transfer"
     backend: str = "table"      # PP cost backend (flash only)
-    fusion: bool = True         # macro-op fusion in the controllers
     fault_rate: float = 0.0     # FaultPlan.uniform rate (flash+table only)
     cache_bytes: int = 4096     # small cache => evictions stay in play
     write_frac: float = 0.35
@@ -80,8 +78,7 @@ class CheckSpec:
     def describe(self) -> str:
         tags = [f"seed={self.seed}", f"ops={self.ops}",
                 f"nodes={self.nodes}", f"lines={self.lines}",
-                self.kind, self.protocol,
-                "fused" if self.fusion else "stepwise"]
+                self.kind, self.protocol]
         if self.fault_rate:
             tags.append(f"faults={self.fault_rate:g}")
         if self.mutation:
@@ -138,19 +135,8 @@ def _build_machine(spec: CheckSpec):
     if spec.fault_rate:
         from ..faults import FaultPlan
         faults = FaultPlan.uniform(spec.fault_rate, seed=spec.seed)
-    # Fusion is a construction-time env knob (deliberately not a config
-    # field); toggle it around the build only.
-    prior = os.environ.get("REPRO_FUSION")
-    os.environ["REPRO_FUSION"] = "on" if spec.fusion else "off"
-    try:
-        machine = Machine(config, faults=faults, watchdog=dict(_WATCHDOG),
-                          trace=True)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_FUSION", None)
-        else:
-            os.environ["REPRO_FUSION"] = prior
-    return machine
+    return Machine(config, faults=faults, watchdog=dict(_WATCHDOG),
+                   trace=True)
 
 
 def _workload(spec: CheckSpec):
@@ -207,20 +193,18 @@ def run_check(spec: CheckSpec) -> CheckReport:
 
 
 def iter_specs(seeds, ops: int, nodes: int, lines: int,
-               protocols=PROTOCOLS, kinds=KINDS, fusion_modes=(True, False),
-               fault_rates=(0.0,), backend: str = "table",
+               protocols=PROTOCOLS, kinds=KINDS, fault_rates=(0.0,),
+               backend: str = "table",
                mutation: Optional[str] = None) -> Iterator[CheckSpec]:
     """The sweep grid, skipping combinations the machine cannot build
     (fault injection targets flash with the table backend)."""
     for seed in seeds:
         for kind in kinds:
             for protocol in protocols:
-                for fusion in fusion_modes:
-                    for rate in fault_rates:
-                        if rate and (kind != "flash" or backend != "table"):
-                            continue
-                        yield CheckSpec(
-                            seed=seed, ops=ops, nodes=nodes, lines=lines,
-                            kind=kind, protocol=protocol, backend=backend,
-                            fusion=fusion, fault_rate=rate,
-                            mutation=mutation)
+                for rate in fault_rates:
+                    if rate and (kind != "flash" or backend != "table"):
+                        continue
+                    yield CheckSpec(
+                        seed=seed, ops=ops, nodes=nodes, lines=lines,
+                        kind=kind, protocol=protocol, backend=backend,
+                        fault_rate=rate, mutation=mutation)

@@ -21,36 +21,18 @@ call.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Optional
 
-from typing import Dict
-
-from ..common.params import MachineConfig, fusion_from_env
+from ..common.params import MachineConfig
 from ..memory.controller import MemoryController, SubmitWhenReady
 from ..network.mesh import NetworkPort
 from ..protocol.coherence import Action, NodeProtocolEngine
-from ..protocol.messages import (
-    FREE_LIST as _MSG_POOL,
-    Message,
-    MessageType as MT,
-    RECYCLING as _MSG_RECYCLING,
-    TRANSFER_TYPES,
-)
+from ..protocol.messages import Message, MessageType as MT, TRANSFER_TYPES
 from ..sim.engine import Environment, Event, PENDING
 from ..sim.queues import BoundedQueue
 from ..stats.breakdown import NodeStats
 
 __all__ = ["IdealController"]
-
-#: Macro-op fusion gate switches (independent of the MAGIC chip's, so a
-#: golden-matrix failure on one machine kind reverts only that kind).
-_FUSE_SENDS = True
-_FUSE_DELIVER = True
-
-# Message retirement (see repro.protocol.messages.FREE_LIST): only meaningful
-# when the refcount proof is available.
-_getrefcount = getattr(sys, "getrefcount", None) if _MSG_RECYCLING else None
 
 
 class IdealController:
@@ -94,16 +76,6 @@ class IdealController:
         self._po_after_pi_cb = self._po_after_pi
         self._po_deliver_cb = self._po_deliver
         self._writer_start_cb = self._writer_start
-        # Macro-op fusion (DESIGN.md §5h): the zero-occupancy handler body is
-        # already synchronous; what fusion collapses here is the outbound
-        # tail (NI handoffs + per-send launch hops, PI handoff + two latency
-        # hops).  Census dicts mirror MagicChip's.
-        self._fusion = fusion_from_env()
-        self.dispatch_fused: Dict[MT, int] = {}
-        self.dispatch_stepwise: Dict[MT, int] = {}
-        self._fuse_ni_launch_cb = self._fuse_ni_launch
-        self._fuse_po_pi_cb = self._fuse_po_pi
-        self._fused_deliver_cb = self._fused_deliver
         env.call_soon(self._pi_next)
         env.call_soon(self._ni_next)
         env.call_soon(self._po_next)
@@ -227,111 +199,11 @@ class IdealController:
                 # The old one-shot ``writer`` process started one dispatch
                 # later (process-start hop); the call_soon mirrors it.
                 env.call_soon(self._writer_start_cb, (wreq, data_ready))
-        sends = action.sends
-        deliver = action.cpu_deliver
-        if (self._fusion and data_ready is None and tracer is None
-                and metrics is None and (sends or deliver is not None)
-                and self._try_fuse_tail(action, sends, deliver)):
-            return
-        counts = self.dispatch_stepwise
-        mtype = action.message.mtype
-        counts[mtype] = counts.get(mtype, 0) + 1
-        for out in sends:
+        for out in action.sends:
             attached = data_ready if out.carries_data else None
             self.net_port.send_drop((out, attached, None))
-        if deliver is not None:
-            self.pi_out_q.put_drop((deliver, data_ready, None))
-
-    # -- macro-op fusion (contention-free outbound tail) ----------------------------
-
-    def _try_fuse_tail(self, action: Action, sends, deliver) -> bool:
-        """Route the action's outbound tail onto the fused chains when the
-        NI and outbound PI are provably idle (parked getter, empty queue, no
-        bundle in flight).  Ideal-machine ``put_drop`` hands the bundle to a
-        parked getter synchronously, so the unit-idle → busy transition (the
-        getter pop) happens here at the exact stepwise position; each chain
-        then keeps one calendar entry per stepwise instant, with the bundle
-        tuples and the dead bundle machinery (data waits, fault and done
-        checks) elided.  Restricted to one outgoing message so a fused send
-        never enters the queue's item list — FIFO order with concurrent
-        producers is preserved by construction.  Returns False, with no
-        state mutated, the moment any check fails (the caller then runs the
-        stepwise tail)."""
-        env = self.env
-        if env._watchdog is not None:
-            return False
-        port = self.net_port
-        net = port._network
-        if (net.faults is not None or net.tracer is not None
-                or net.metrics is not None):
-            return False
-        n_sends = len(sends)
-        if n_sends:
-            if n_sends > 1 or not _FUSE_SENDS:
-                return False
-            if sends[0].dst == self.node_id:
-                return False  # stepwise raises; keep that diagnosable
-            oq = port.out_queue
-            if port._out_bundle is not None or oq._items or not oq._getters:
-                return False
-        if deliver is not None:
-            if not _FUSE_DELIVER:
-                return False
-            poq = self.pi_out_q
-            if poq._items or not poq._getters or self._po_bundle is not None:
-                return False
-        # -- eligible: commit at the stepwise put positions.
-        counts = self.dispatch_fused
-        mtype = action.message.mtype
-        counts[mtype] = counts.get(mtype, 0) + 1
-        ready = env._ready
-        if n_sends:
-            oq._getters.popleft()   # NI occupied for the fused window
-            oq.total_puts += 1
-            ready.append((self._fuse_ni_hop, sends[0]))
-        if deliver is not None:
-            poq._getters.popleft()  # outbound PI occupied for the window
-            poq.total_puts += 1
-            ready.append((self._fuse_po_hop, deliver))
-        return True
-
-    def _fuse_ni_hop(self, message: Message) -> None:
-        # Ready hop at the stepwise NI-pickup position (``_on_out_bundle``):
-        # with no data wait, observers, or faults it reduces to one latency.
-        self.env.call_later(self.lat.ni_outbound, self._fuse_ni_launch_cb,
-                            message)
-
-    def _fuse_ni_launch(self, message: Message) -> None:
-        # The stepwise ``_out_fault_step`` instant: launch and re-arm the NI
-        # (which picks up any traffic that queued behind the fused window).
-        port = self.net_port
-        port._network._launch(message)
-        port._outbound_next()
-
-    def _fuse_po_hop(self, message: Message) -> None:
-        # Ready hop at the stepwise PO-pickup position (``_on_po_bundle``).
-        self.env.call_later(self.lat.pi_outbound, self._fuse_po_pi_cb,
-                            message)
-
-    def _fuse_po_pi(self, message: Message) -> None:
-        # The stepwise machine charges pi_outbound and the bus transit as
-        # two calendar hops; the chain keeps both instants.
-        self.env.call_later(self.lat.pi_outbound_bus_transit,
-                            self._fused_deliver_cb, message)
-
-    def _fused_deliver(self, message: Message) -> None:
-        """Outbound-PI epilogue at the instant stepwise ``_po_deliver`` would
-        run (tracer/done branches statically absent under fusion)."""
-        self._cpu_deliver(message)
-        for action in self.engine.replay_stable(message.line_addr):
-            self._execute(action)
-        self._po_next()
-        if _getrefcount is not None and _getrefcount(message) == 4:
-            # Last calendar entry of the deliver chain.  The enumerated
-            # references are the run loop's (callback, arg) tuple, its
-            # unpacked arg local, our parameter, and getrefcount's argument;
-            # equality proves nothing retained the message past delivery.
-            _MSG_POOL.append(message)
+        if action.cpu_deliver is not None:
+            self.pi_out_q.put_drop((action.cpu_deliver, data_ready, None))
 
     def _writer_start(self, pair) -> None:
         request, data_ready = pair

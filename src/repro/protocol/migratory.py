@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from ..caches.setassoc import CacheState
 from .coherence import Action, Handler, NodeProtocolEngine
-from .messages import Message, MessageType as MT, acquire as _acquire
+from .messages import Message, MessageType as MT
 
 __all__ = ["MigratoryProtocolEngine"]
 
@@ -153,7 +153,7 @@ class MigratoryProtocolEngine(NodeProtocolEngine):
         # Dirty in a third node: forward as a GETX so the owner invalidates
         # itself and passes ownership straight to the reader.
         entry.pending = True
-        forward = _acquire(MT.FORWARD_GETX, line, self.node_id, entry.owner,
+        forward = Message(MT.FORWARD_GETX, line, self.node_id, entry.owner,
                           msg.requester, is_write=True)
         handler = (Handler.GETX_LOCAL_FORWARD if local
                    else Handler.GETX_HOME_FORWARD)

@@ -42,14 +42,9 @@ _NO_ARG = object()
 #: schedule argument-less continuations through the same tuple fast path.
 NO_ARG = _NO_ARG
 
-# Under mypyc the module's __file__ is the compiled extension; native code
-# may hold references the interpreter-level refcount proof does not see, so
-# the pools stay empty there (draws degrade to plain allocation).
-_COMPILED = not __file__.endswith(".py")
-
 # Timeout pooling relies on CPython reference-count semantics to prove that
 # nobody else can observe the recycled object (see Environment.run).
-_REFCOUNT_POOLING = sys.implementation.name == "cpython" and not _COMPILED
+_REFCOUNT_POOLING = sys.implementation.name == "cpython"
 #: getrefcount(event) when the run loop's local + getrefcount's own argument
 #: are the only remaining references.
 _FREE_REFCOUNT = 2
@@ -521,10 +516,9 @@ class Environment:
 
         ``call_later`` derives the firing time as ``now + delay``; float
         addition is not associative, so a caller that precomputed a chain of
-        stepwise instants (the macro-op fusion layer) cannot express them as
-        a summed delay without risking a different calendar-bucket key.
-        This primitive takes the exact float the stepwise chain would have
-        produced.  ``when`` in the past is a kernel-misuse error; ``when``
+        instants cannot express them as a summed delay without risking a
+        different calendar-bucket key.  This primitive takes the exact
+        float.  ``when`` in the past is a kernel-misuse error; ``when``
         equal to the current time routes to the ready deque like any other
         current-time work.
         """

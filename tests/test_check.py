@@ -2,7 +2,7 @@
 
 The checker's own correctness is established two ways: clean protocols
 pass under heavy contention (no false positives across protocol x machine
-x fusion combinations), and each deliberately-seeded protocol mutation is
+combinations), and each deliberately-seeded protocol mutation is
 caught and shrunk to a small replayable reproducer (no false negatives
 for the bug classes the oracle claims to cover).
 """
@@ -23,16 +23,29 @@ from repro.common.errors import CoherenceViolation
 MUTATIONS = ("drop_sharer", "stale_reply", "skip_inval", "no_ack")
 
 
+#: Clean runs: every protocol on both machines at the default shape, plus
+#: a 16-node FLASH run where a home's INVAL for a later GETX overtakes the
+#: PUT of an earlier read -- a legal race the oracle once flagged.
+CLEAN_CASES = [
+    pytest.param(dict(seed=0, ops=150, nodes=4, kind=kind, protocol=protocol),
+                 id=f"{protocol}-{kind}")
+    for kind in ("flash", "ideal")
+    for protocol in ("base", "migratory", "transfer")
+] + [
+    pytest.param(dict(seed=5, ops=200, nodes=16, lines=8, kind="flash"),
+                 id="inval-overtakes-put-16"),
+]
+
+
 class TestCleanMatrix:
     """A correct protocol never trips the checker."""
 
-    @pytest.mark.parametrize("kind", ["flash", "ideal"])
-    @pytest.mark.parametrize("protocol", ["base", "migratory", "transfer"])
-    def test_clean_pass(self, kind, protocol):
-        report = run_check(CheckSpec(seed=0, ops=150, nodes=4, kind=kind,
-                                     protocol=protocol))
-        assert report.ok, f"{kind}/{protocol}: {report.error}"
-        assert report.checked_ops > 150          # every cpu contributes
+    @pytest.mark.parametrize("fields", CLEAN_CASES)
+    def test_clean_pass(self, fields):
+        spec = CheckSpec(**fields)
+        report = run_check(spec)
+        assert report.ok, f"{spec.describe()}: {report.error}"
+        assert report.checked_ops > spec.ops     # every cpu contributes
         assert report.quiesce_checks >= 2        # mid-run barriers walked
 
     def test_clean_under_faults(self):
@@ -40,14 +53,6 @@ class TestCleanMatrix:
                                      fault_rate=0.05))
         assert report.ok, report.error
         assert report.checked_ops > 200
-
-    def test_fusion_modes_agree(self):
-        fused = run_check(CheckSpec(seed=0, ops=150, nodes=4, fusion=True))
-        stepwise = run_check(CheckSpec(seed=0, ops=150, nodes=4,
-                                       fusion=False))
-        assert fused.ok and stepwise.ok
-        assert fused.checked_ops == stepwise.checked_ops
-        assert fused.execution_time == stepwise.execution_time
 
 
 class TestObserverPurity:
@@ -101,6 +106,7 @@ class TestMutationsCaught:
         report = run_check(CheckSpec(seed=0, ops=400, nodes=4,
                                      mutation="stale_reply"))
         assert report.failure_kind == "violation"
+        assert report.error.startswith("stale shared reply")  # at the home
         dump = report.violation["dump"]
         assert "directory" in dump and "caches" in dump
         assert "shadow" in dump or "line" in dump
@@ -136,9 +142,25 @@ class TestSpecPlumbing:
     def test_iter_specs_skips_invalid_fault_combos(self):
         specs = list(iter_specs([0], ops=10, nodes=2, lines=2,
                                 protocols=("base",), kinds=("flash", "ideal"),
-                                fusion_modes=(True,), fault_rates=(0.0, 0.1)))
+                                fault_rates=(0.0, 0.1)))
         assert all(s.kind == "flash" for s in specs if s.fault_rate)
         assert {s.kind for s in specs} == {"flash", "ideal"}
+
+    def test_reproducer_with_fusion_field_replays(self, tmp_path):
+        # Reproducers saved when the controllers still had a fusion mode
+        # carry a "fusion" field; loading ignores it.
+        spec = CheckSpec(seed=0, ops=60, nodes=2)
+        path = save_reproducer(run_check(spec), spec, 0, str(tmp_path))
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["spec"]["fusion"] = False
+        payload["original_spec"]["fusion"] = False
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert load_reproducer(path) == spec
+        replayed = replay(path)
+        assert replayed.ok, replayed.error
+        assert replayed.checked_ops > 0
 
     def test_validate_rejects_faults_on_ideal(self):
         with pytest.raises(ValueError):
@@ -172,8 +194,7 @@ class TestCheckCLI:
         from repro.harness.__main__ import main
 
         code = main(["check", "--seed", "0", "--ops", "100",
-                     "--protocols", "base", "--kinds", "flash",
-                     "--fusion", "fused", "--json"])
+                     "--protocols", "base", "--kinds", "flash", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "ok"
@@ -185,7 +206,7 @@ class TestCheckCLI:
 
         code = main(["check", "--seed", "0", "--ops", "400",
                      "--protocols", "base", "--kinds", "flash",
-                     "--fusion", "fused", "--mutate", "skip_inval",
+                     "--mutate", "skip_inval",
                      "--out-dir", str(tmp_path), "--json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
